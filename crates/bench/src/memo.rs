@@ -421,22 +421,27 @@ mod tests {
         for k in [1, 2, 3] {
             assert_eq!(t.schedule(k), Schedule::Claimed);
         }
+        // The publisher completes one key per acknowledgement, so each
+        // `wait_any` sees exactly one new completion however the two
+        // threads are scheduled.
+        let (ack, acked) = std::sync::mpsc::channel::<()>();
         let publisher = {
             let t = Arc::clone(&t);
             std::thread::spawn(move || {
                 for k in [2, 3] {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
                     t.publish(k, u64::from(k) * 10);
+                    acked.recv().unwrap();
                 }
-                std::thread::sleep(std::time::Duration::from_millis(10));
                 t.fail(&1);
             })
         };
         let mut pending = vec![1, 2, 3];
         let first = t.wait_any(&mut pending).unwrap();
         assert_eq!(first, (2, 20));
+        ack.send(()).unwrap();
         let second = t.wait_any(&mut pending).unwrap();
         assert_eq!(second, (3, 30));
+        ack.send(()).unwrap();
         // The abandoned key surfaces as an error, not a hang.
         assert_eq!(t.wait_any(&mut pending), Err((1, ComputeFailed)));
         assert!(pending.is_empty());

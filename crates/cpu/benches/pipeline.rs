@@ -1,8 +1,9 @@
 //! Criterion benchmark of the pipeline timing loop: nanoseconds per
-//! simulated (trace) instruction for the three trace shapes the event
-//! refactor targets — dense independent ALU code (window-scan bound),
-//! strided vector memory (stall/idle-cycle bound) and 3D
-//! `3dvload`/`3dvmov` streams (wakeup-chain bound).
+//! simulated (trace) instruction for the trace shapes the event-driven
+//! scheduler targets — dense independent ALU code (window-scan bound),
+//! strided vector memory (stall/idle-cycle bound), 3D
+//! `3dvload`/`3dvmov` streams (wakeup-chain bound) and vector loads
+//! parked behind a busy port among ready ALU work (issue-scan bound).
 //!
 //! Smoke mode for CI: `MOM3D_BENCH_SMOKE=1 cargo bench -p mom3d-cpu
 //! --bench pipeline` runs each benchmark once, just proving the harness
@@ -54,11 +55,31 @@ fn trace_3d() -> Trace {
     tb.finish()
 }
 
+/// Strided vector loads queued behind the single vector port (each
+/// holds it for 16 cycles), interleaved with young independent ALU
+/// work: the ready list keeps a queue of loads that cannot issue ahead
+/// of ALU ops that can, so an issue scan that does not stop once the
+/// vector-memory lane is closed revisits every parked load every cycle.
+fn port_bound_trace() -> Trace {
+    let mut tb = TraceBuilder::new();
+    tb.set_vl(16);
+    tb.set_vs(640);
+    let b = tb.li(Gpr::new(1), 0x1_0000);
+    for k in 0..1024u32 {
+        tb.vload(MomReg::new((k % 8) as u8), b, 0x1_0000 + (k as u64 % 32) * 8);
+        for j in 0..3 {
+            tb.li(Gpr::new(2 + ((3 * k + j) % 26) as u8), j as i64);
+        }
+    }
+    tb.finish()
+}
+
 fn bench_pipeline(c: &mut Criterion) {
-    let shapes: [(&str, Trace, MemorySystemKind); 3] = [
+    let shapes: [(&str, Trace, MemorySystemKind); 4] = [
         ("dense_alu", dense_alu_trace(), MemorySystemKind::Ideal),
         ("strided_vector", strided_vector_trace(), MemorySystemKind::VectorCache),
         ("3d", trace_3d(), MemorySystemKind::VectorCache3d),
+        ("port_bound", port_bound_trace(), MemorySystemKind::VectorCache),
     ];
     let mut g = c.benchmark_group("pipeline_ns_per_instr");
     for (name, trace, mem) in &shapes {

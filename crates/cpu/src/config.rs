@@ -218,19 +218,41 @@ impl ProcessorConfig {
 
     /// Checks the configuration against the limits of the timing model.
     ///
-    /// The L1 bank-conflict tracker is a per-cycle 64-bit bitmask, so an
+    /// Every sized resource — window, LSQ, fetch and commit rates, the
+    /// issue widths, the functional-unit counts, L1 ports and SIMD lanes
+    /// — must be at least one: a zero would divide by zero (lanes) or
+    /// leave instructions that can never fetch, issue or commit. The L1
+    /// bank-conflict tracker is a per-cycle 64-bit bitmask, so an
     /// `l1_banked` configuration must keep `banked.banks` in `1..=64`
     /// (and a positive interleave granularity, which the bank-index
     /// computation divides by). [`crate::Processor::run`] calls this up
     /// front and surfaces violations as
-    /// [`crate::SimError::UnsupportedConfig`] instead of silently
-    /// shifting the mask out of range.
+    /// [`crate::SimError::UnsupportedConfig`] instead of panicking,
+    /// hanging or silently shifting the mask out of range.
     ///
     /// # Errors
     ///
     /// Returns [`crate::SimError::UnsupportedConfig`] naming the
     /// offending parameter.
     pub fn validate(&self) -> Result<(), crate::SimError> {
+        let sized = [
+            ("window", self.window),
+            ("lsq", self.lsq),
+            ("fetch_rate", self.fetch_rate),
+            ("commit_rate", self.commit_rate),
+            ("int_issue", self.int_issue),
+            ("simd_issue", self.simd_issue),
+            ("mem_issue", self.mem_issue),
+            ("int_units", self.int_units),
+            ("simd_units", self.simd_units),
+            ("l1_ports", self.l1_ports),
+            ("simd_lanes", self.simd_lanes),
+        ];
+        if let Some((name, _)) = sized.iter().find(|&&(_, value)| value == 0) {
+            return Err(crate::SimError::UnsupportedConfig {
+                what: format!("{name} = 0 (every sized resource needs at least one entry)"),
+            });
+        }
         if self.l1_banked {
             if self.banked.banks == 0 || self.banked.banks > 64 {
                 return Err(crate::SimError::UnsupportedConfig {
@@ -334,6 +356,39 @@ mod tests {
         let mut c = ProcessorConfig::mmx();
         c.banked.interleave_bytes = 0;
         assert!(matches!(c.validate(), Err(SimError::UnsupportedConfig { .. })));
+    }
+
+    #[test]
+    fn validate_rejects_every_zero_sized_resource() {
+        use crate::SimError;
+        type Field = fn(&mut ProcessorConfig) -> &mut usize;
+        let fields: [(&str, Field); 11] = [
+            ("window", |c| &mut c.window),
+            ("lsq", |c| &mut c.lsq),
+            ("fetch_rate", |c| &mut c.fetch_rate),
+            ("commit_rate", |c| &mut c.commit_rate),
+            ("int_issue", |c| &mut c.int_issue),
+            ("simd_issue", |c| &mut c.simd_issue),
+            ("mem_issue", |c| &mut c.mem_issue),
+            ("int_units", |c| &mut c.int_units),
+            ("simd_units", |c| &mut c.simd_units),
+            ("l1_ports", |c| &mut c.l1_ports),
+            ("simd_lanes", |c| &mut c.simd_lanes),
+        ];
+        for base in [ProcessorConfig::mmx(), ProcessorConfig::mom()] {
+            for (name, field) in fields {
+                let mut c = base;
+                *field(&mut c) = 0;
+                match c.validate() {
+                    Err(SimError::UnsupportedConfig { what }) => {
+                        assert!(what.starts_with(&format!("{name} = 0")), "{name}: {what}");
+                    }
+                    other => panic!("{name} = 0 must be rejected, got {other:?}"),
+                }
+                *field(&mut c) = 1;
+                assert_eq!(c.validate(), Ok(()), "{name} = 1 is a valid size");
+            }
+        }
     }
 
     #[test]

@@ -11,11 +11,21 @@
 //!   of re-polling every operand of every waiting instruction every
 //!   cycle. Fully woken instructions sit in a time-ordered heap and
 //!   drop into the in-order ready list when their operands mature.
+//! * **Issue lanes**: the ready list is scanned oldest first, but each
+//!   entry belongs to one of five lanes (integer, SIMD, scalar memory,
+//!   vector memory, `3dvmov`) and each lane carries an `open` flag —
+//!   issue budget left and a free unit in every pool the lane needs
+//!   (vector memory needs both the port and a transaction buffer).
+//!   Within a cycle a closed lane stays closed, so the scan stops as
+//!   soon as no open lane has unscanned entries: a queue of vector
+//!   loads parked behind a busy port is not rescanned every cycle.
 //! * **Idle-cycle skipping**: a cycle with no commit, no issue and no
 //!   fetch changes no architectural or resource state, so `now` jumps
-//!   straight to the next completion (`done_at` of an in-flight
-//!   instruction) or functional-unit release ([`Units::free_at`])
-//!   rather than stepping by 1.
+//!   straight to the next completion or functional-unit release
+//!   ([`Units::free_at`]) rather than stepping by 1. Completions come
+//!   from a min-heap of in-flight `done_at` times, pruned of past
+//!   entries every step so it never holds more than the in-flight
+//!   instructions.
 //! * **Pre-decoded traces** ([`DecodedProgram`]): opcode class, base
 //!   latency, FU occupancy, memory-descriptor index and packed-op count
 //!   are decoded once per run into a dense SoA-style array, so the
@@ -25,8 +35,10 @@
 //! The produced [`Metrics`] are **bit-identical** to the original loop:
 //! active cycles run the same commit/issue/fetch logic in the same
 //! order (memory-system calls included, so cache state evolves
-//! identically), and skipped cycles are exactly those in which the
-//! original loop would have done nothing. The original loop survives as
+//! identically), skipped cycles are exactly those in which the original
+//! loop would have done nothing, and the ready entries the lane exit
+//! leaves unscanned are exactly ones the original scan would have
+//! visited without issuing. The original loop survives as
 //! the `#[cfg(test)]` oracle [`Processor::run_legacy`], held equivalent
 //! by proptest over random traces and by a full kernel × variant ×
 //! backend matrix (see the tests below and
@@ -150,14 +162,85 @@ impl DecodedProgram {
     }
 }
 
-/// Issue-budget slot of an execution class (scalar and vector memory
-/// share the memory issue width).
-fn budget_slot(class: ExecClass) -> usize {
+/// Issue lanes, one per execution class. Scalar and vector memory share
+/// the memory issue budget but wait on different pools, so they are
+/// separate lanes.
+const LANES: usize = 5;
+const INT: usize = 0;
+const SIMD: usize = 1;
+const MEM: usize = 2;
+const VEC_MEM: usize = 3;
+const MOV3D: usize = 4;
+
+/// Issue lane of an execution class.
+fn lane(class: ExecClass) -> usize {
     match class {
-        ExecClass::Int => 0,
-        ExecClass::Simd => 1,
-        ExecClass::Mem | ExecClass::VecMem => 2,
-        ExecClass::Mov3d => 3,
+        ExecClass::Int => INT,
+        ExecClass::Simd => SIMD,
+        ExecClass::Mem => MEM,
+        ExecClass::VecMem => VEC_MEM,
+        ExecClass::Mov3d => MOV3D,
+    }
+}
+
+/// Per-cycle issue budgets: `[int, simd, mem (scalar + vector), mov3d]`.
+type Budgets = [usize; 4];
+
+/// The functional-unit pools of one run.
+struct Pools {
+    int: Units,
+    simd: Units,
+    l1_ports: Units,
+    vec_port: Units,
+    /// Vector transaction buffers, held until the data returns.
+    vec_txn: Units,
+    mov3d: Units,
+}
+
+impl Pools {
+    fn new(cfg: &ProcessorConfig) -> Self {
+        Pools {
+            int: Units::new(cfg.int_units),
+            simd: Units::new(cfg.simd_units),
+            l1_ports: Units::new(cfg.l1_ports),
+            vec_port: Units::new(1),
+            vec_txn: Units::new(cfg.vec_outstanding.max(1)),
+            mov3d: Units::new(1),
+        }
+    }
+
+    /// True when `lane` can still issue at `now`: its budget is not
+    /// spent and every pool it needs has a free unit. Budgets only fall
+    /// and units only get busier within a cycle, so a closed lane stays
+    /// closed until the next one; an open lane grants its next ready
+    /// entry, except that a scalar access may still hit a bank conflict.
+    fn lane_open(&self, lane: usize, budgets: &Budgets, now: u64) -> bool {
+        match lane {
+            INT => budgets[0] > 0 && self.int.peek(now),
+            SIMD => budgets[1] > 0 && self.simd.peek(now),
+            MEM => budgets[2] > 0 && self.l1_ports.peek(now),
+            VEC_MEM => budgets[2] > 0 && self.vec_port.peek(now) && self.vec_txn.peek(now),
+            _ => budgets[3] > 0 && self.mov3d.peek(now),
+        }
+    }
+
+    /// Sets `lane`'s bit of the `open` lane mask to [`Pools::lane_open`].
+    fn probe(&self, open: &mut u8, lane: usize, budgets: &Budgets, now: u64) {
+        if self.lane_open(lane, budgets, now) {
+            *open |= 1 << lane;
+        } else {
+            *open &= !(1 << lane);
+        }
+    }
+
+    /// Earliest unit release strictly after `now` (`u64::MAX` if none).
+    fn next_release(&self, now: u64) -> u64 {
+        [&self.int, &self.simd, &self.l1_ports, &self.vec_port, &self.vec_txn, &self.mov3d]
+            .into_iter()
+            .map(Units::free_at)
+            .filter(|&t| t > now)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 }
 
@@ -224,8 +307,12 @@ impl Processor {
         let track_banks = cfg.l1_banked && !backend.is_ideal;
         let mut metrics = Metrics::default();
 
+        // Completion cycle per instruction; `u64::MAX` until it issues.
         let mut done_at: Vec<u64> = vec![u64::MAX; n];
-        let mut issued: Vec<bool> = vec![false; n];
+        // Completion times of issued instructions still in flight (a
+        // min-heap, pruned of times `<= now` every step): the idle skip's
+        // next completion is its top.
+        let mut inflight: BinaryHeap<Reverse<u64>> = BinaryHeap::with_capacity(cfg.window);
 
         // Wakeup state: outstanding-operand counts, the latest
         // operand-ready time seen so far per instruction, and a heap of
@@ -237,20 +324,15 @@ impl Processor {
         let mut edge_ready: Vec<u64> = vec![0; n];
         let mut wakeups: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
         // Ready, unissued, in-window instructions in trace (age) order,
-        // plus per-budget-slot membership counts for early scan exit.
+        // plus per-lane membership counts for the early scan exit.
         let mut ready: Vec<u32> = Vec::with_capacity(cfg.window);
-        let mut ready_counts = [0usize; 4];
+        let mut ready_counts = [0usize; LANES];
 
         let mut window: VecDeque<u32> = VecDeque::with_capacity(cfg.window);
         let mut next_fetch = 0usize;
         let mut lsq_used = 0usize;
 
-        let mut int_units = Units::new(cfg.int_units);
-        let mut simd_units = Units::new(cfg.simd_units);
-        let mut l1_ports = Units::new(cfg.l1_ports);
-        let mut vec_port = Units::new(1);
-        let mut vec_txn = Units::new(cfg.vec_outstanding.max(1));
-        let mut mov3d_unit = Units::new(1);
+        let mut pools = Pools::new(cfg);
 
         let mut now: u64 = 0;
         // Generous progress bound: every instruction finishes within a few
@@ -267,7 +349,8 @@ impl Processor {
             let mut committed = 0usize;
             while committed < cfg.commit_rate {
                 match window.front() {
-                    Some(&front) if issued[front as usize] && done_at[front as usize] <= now => {
+                    // Unissued instructions have `done_at == u64::MAX`.
+                    Some(&front) if done_at[front as usize] <= now => {
                         let op = &prog.ops[front as usize];
                         if op.is_mem {
                             lsq_used -= 1;
@@ -289,116 +372,128 @@ impl Processor {
                 wakeups.pop();
                 let pos = ready.partition_point(|&r| r < idx);
                 ready.insert(pos, idx);
-                ready_counts[budget_slot(prog.ops[idx as usize].class)] += 1;
+                ready_counts[lane(prog.ops[idx as usize].class)] += 1;
             }
 
             // ---- issue (oldest first, per-class budgets) ------------------
-            // budgets: [int, simd, mem (scalar + vector), mov3d].
-            let mut budgets = [cfg.int_issue, cfg.simd_issue, cfg.mem_issue, 1usize];
+            let mut budgets: Budgets = [cfg.int_issue, cfg.simd_issue, cfg.mem_issue, 1];
             let mut banks_used: u64 = 0; // L1 bank bitmask for this cycle
             let mut issued_any = false;
-            // How many not-yet-scanned ready entries each slot still has;
-            // once every slot is out of budget or out of candidates the
-            // rest of the list cannot issue this cycle.
+            // Lane bitmasks: `open` lanes can still issue this cycle,
+            // `unscanned` lanes still have entries ahead of the scan
+            // (`unseen` counts them). Once no lane is both, nothing
+            // further down the list can issue this cycle. Only lanes
+            // with entries are probed; a lane that gains its first entry
+            // mid-scan is probed then.
+            let mut open = 0u8;
+            let mut unscanned = 0u8;
             let mut unseen = ready_counts;
+            for l in (0..LANES).filter(|&l| unseen[l] > 0) {
+                unscanned |= 1 << l;
+                pools.probe(&mut open, l, &budgets, now);
+            }
 
             let mut w = 0usize;
             let mut r = 0usize;
-            while r < ready.len() {
-                if budgets.iter().zip(unseen.iter()).all(|(&b, &u)| b == 0 || u == 0) {
-                    break;
-                }
+            while r < ready.len() && open & unscanned != 0 {
                 let idx = ready[r] as usize;
                 let op = prog.ops[idx];
-                let slot = budget_slot(op.class);
-                unseen[slot] -= 1;
-                let mut did_issue = false;
-                match op.class {
-                    ExecClass::Int => {
-                        if budgets[0] > 0 && int_units.acquire(now, 1) {
+                let l = lane(op.class);
+                unseen[l] -= 1;
+                if unseen[l] == 0 {
+                    unscanned &= !(1 << l);
+                }
+                let did_issue = open & (1 << l) != 0
+                    && match op.class {
+                        ExecClass::Int => {
+                            let ok = pools.int.acquire(now, 1);
+                            debug_assert!(ok, "open lane has a free unit");
                             budgets[0] -= 1;
                             done_at[idx] = now + op.latency as u64;
-                            did_issue = true;
+                            true
                         }
-                    }
-                    ExecClass::Simd => {
-                        if budgets[1] > 0 && simd_units.acquire(now, op.occupancy) {
+                        ExecClass::Simd => {
+                            let ok = pools.simd.acquire(now, op.occupancy);
+                            debug_assert!(ok, "open lane has a free unit");
                             budgets[1] -= 1;
-                            done_at[idx] =
-                                now + (op.occupancy - 1) as u64 + op.latency as u64;
-                            did_issue = true;
+                            done_at[idx] = now + (op.occupancy - 1) as u64 + op.latency as u64;
+                            true
                         }
-                    }
-                    ExecClass::Mem => 'mem: {
-                        if budgets[2] == 0 {
-                            break 'mem;
-                        }
-                        let mem = prog.mems[op.mem as usize];
-                        if track_banks {
-                            let bank = memsys.bank_of(mem.base);
-                            debug_assert!(bank < 64, "bank index validated in ProcessorConfig");
-                            if banks_used & (1u64 << bank) != 0 {
-                                break 'mem; // bank conflict: retry next cycle
+                        ExecClass::Mem => 'mem: {
+                            let mem = prog.mems[op.mem as usize];
+                            if track_banks {
+                                let bank = memsys.bank_of(mem.base);
+                                debug_assert!(bank < 64, "bank index validated in ProcessorConfig");
+                                if banks_used & (1u64 << bank) != 0 {
+                                    break 'mem false; // bank conflict: retry next cycle
+                                }
+                                banks_used |= 1u64 << bank;
                             }
-                            banks_used |= 1u64 << bank;
+                            let ok = pools.l1_ports.acquire(now, 1);
+                            debug_assert!(ok, "open lane has a free port");
+                            budgets[2] -= 1;
+                            let latency = memsys.scalar_access(&mem, op.is_store);
+                            metrics.scalar_mem_instrs += 1;
+                            // Stores retire into the store buffer and drain
+                            // in the background; only loads expose access
+                            // latency.
+                            done_at[idx] =
+                                if op.is_store { now + 1 } else { now + latency as u64 };
+                            true
                         }
-                        if !l1_ports.acquire(now, 1) {
-                            break 'mem;
+                        ExecClass::VecMem => {
+                            // The open lane guarantees both the port and a
+                            // transaction buffer, so the access (which
+                            // mutates cache state) is never speculated.
+                            let mem = prog.mems[op.mem as usize];
+                            let timing = memsys.vector_access(&mem, op.is_store, op.is_3d);
+                            let ok = pools.vec_port.acquire(now, timing.occupancy);
+                            debug_assert!(ok, "vector port probed free");
+                            // The transaction buffer is held until the data
+                            // returns, bounding latency overlap.
+                            let ok = pools.vec_txn.acquire(now, timing.occupancy + timing.latency);
+                            debug_assert!(ok, "transaction buffer probed free");
+                            budgets[2] -= 1;
+                            metrics.vec_mem_instrs += 1;
+                            // Vector stores hold the port for their
+                            // occupancy but complete without waiting on the
+                            // L2 write.
+                            done_at[idx] = if op.is_store {
+                                now + timing.occupancy as u64
+                            } else {
+                                now + timing.occupancy as u64 + timing.latency as u64
+                            };
+                            true
                         }
-                        budgets[2] -= 1;
-                        let latency = memsys.scalar_access(&mem, op.is_store);
-                        metrics.scalar_mem_instrs += 1;
-                        // Stores retire into the store buffer and drain in
-                        // the background; only loads expose access latency.
-                        done_at[idx] =
-                            if op.is_store { now + 1 } else { now + latency as u64 };
-                        did_issue = true;
-                    }
-                    ExecClass::VecMem => 'vec: {
-                        if budgets[2] == 0 {
-                            break 'vec;
-                        }
-                        // Probe both the port and a transaction buffer
-                        // before paying for the access (the access mutates
-                        // cache state, so it must not be speculated).
-                        if !vec_port.peek(now) || !vec_txn.peek(now) {
-                            break 'vec;
-                        }
-                        let mem = prog.mems[op.mem as usize];
-                        let timing = memsys.vector_access(&mem, op.is_store, op.is_3d);
-                        let ok = vec_port.acquire(now, timing.occupancy);
-                        debug_assert!(ok, "vector port probed free");
-                        // The transaction buffer is held until the data
-                        // returns, bounding latency overlap.
-                        let ok = vec_txn.acquire(now, timing.occupancy + timing.latency);
-                        debug_assert!(ok, "transaction buffer probed free");
-                        budgets[2] -= 1;
-                        metrics.vec_mem_instrs += 1;
-                        // Vector stores hold the port for their occupancy
-                        // but complete without waiting on the L2 write.
-                        done_at[idx] = if op.is_store {
-                            now + timing.occupancy as u64
-                        } else {
-                            now + timing.occupancy as u64 + timing.latency as u64
-                        };
-                        did_issue = true;
-                    }
-                    ExecClass::Mov3d => {
-                        if budgets[3] > 0 && mov3d_unit.acquire(now, op.occupancy) {
+                        ExecClass::Mov3d => {
+                            let ok = pools.mov3d.acquire(now, op.occupancy);
+                            debug_assert!(ok, "open lane has a free unit");
                             budgets[3] -= 1;
                             metrics.mov3d_instrs += 1;
                             metrics.mov3d_words += op.vl as u64;
-                            done_at[idx] =
-                                now + (op.occupancy - 1) as u64 + op.latency as u64;
-                            did_issue = true;
+                            done_at[idx] = now + (op.occupancy - 1) as u64 + op.latency as u64;
+                            true
                         }
-                    }
-                }
+                    };
                 if did_issue {
-                    issued[idx] = true;
                     issued_any = true;
-                    ready_counts[slot] -= 1;
+                    ready_counts[l] -= 1;
+                    // Re-probe the lanes this issue drew from; the memory
+                    // lanes share one budget.
+                    let touched: &[usize] = match l {
+                        MEM | VEC_MEM => &[MEM, VEC_MEM],
+                        _ => std::slice::from_ref(&l),
+                    };
+                    for &t in touched {
+                        pools.probe(&mut open, t, &budgets, now);
+                    }
+                    // An issue makes this step active, so the next idle
+                    // check is at `now + 1` or later: completions by then
+                    // never become the next event.
                     let completes = done_at[idx];
+                    if completes > now + 1 {
+                        inflight.push(Reverse(completes));
+                    }
                     for e in wake.consumers(idx) {
                         let c = e.consumer as usize;
                         let t = if e.ptr_only { now + 1 } else { completes };
@@ -420,9 +515,11 @@ impl Processor {
                                     + 1
                                     + ready[r + 1..].partition_point(|&x| x < e.consumer);
                                 ready.insert(pos, e.consumer);
-                                let slot_c = budget_slot(prog.ops[c].class);
-                                ready_counts[slot_c] += 1;
-                                unseen[slot_c] += 1;
+                                let lane_c = lane(prog.ops[c].class);
+                                ready_counts[lane_c] += 1;
+                                unseen[lane_c] += 1;
+                                unscanned |= 1 << lane_c;
+                                pools.probe(&mut open, lane_c, &budgets, now);
                             } else {
                                 wakeups.push(Reverse((edge_ready[c], e.consumer)));
                             }
@@ -461,7 +558,7 @@ impl Processor {
                     // considered next cycle, exactly as via the heap.
                     if edge_ready[next_fetch] <= now + 1 {
                         ready.push(next_fetch as u32);
-                        ready_counts[budget_slot(prog.ops[next_fetch].class)] += 1;
+                        ready_counts[lane(op.class)] += 1;
                     } else {
                         wakeups.push(Reverse((edge_ready[next_fetch], next_fetch as u32)));
                     }
@@ -471,6 +568,12 @@ impl Processor {
             }
 
             // ---- advance --------------------------------------------------
+            while let Some(&Reverse(t)) = inflight.peek() {
+                if t > now {
+                    break;
+                }
+                inflight.pop();
+            }
             if committed > 0 || issued_any || fetched > 0 {
                 // Budgets reset, pointer operands mature and bank masks
                 // clear on the very next cycle, so it must be evaluated.
@@ -479,21 +582,8 @@ impl Processor {
                 // Nothing happened: no budget, bank mask or rename state
                 // changed, so re-evaluating intermediate cycles is a no-op.
                 // Jump to the next completion or unit release.
-                let mut next_event = u64::MAX;
-                for &wi in &window {
-                    let i = wi as usize;
-                    if issued[i] && done_at[i] > now && done_at[i] < next_event {
-                        next_event = done_at[i];
-                    }
-                }
-                for units in
-                    [&int_units, &simd_units, &l1_ports, &vec_port, &vec_txn, &mov3d_unit]
-                {
-                    let t = units.free_at();
-                    if t > now && t < next_event {
-                        next_event = t;
-                    }
-                }
+                let next_done = inflight.peek().map_or(u64::MAX, |&Reverse(t)| t);
+                let next_event = next_done.min(pools.next_release(now));
                 debug_assert!(
                     next_event != u64::MAX,
                     "idle cycle with no pending event (model bug)"
@@ -989,6 +1079,26 @@ mod tests {
     }
 
     #[test]
+    fn zero_sized_resources_are_sim_errors() {
+        // `simd_lanes = 0` used to divide by zero in the decode and
+        // `int_units = 0` to trip the progress assert; both are now
+        // rejected before the run starts.
+        let mut tb = TraceBuilder::new();
+        tb.set_vl(8);
+        tb.li(Gpr::new(1), 1);
+        tb.vop2(UsimdOp::AddWrap(Width::B8), MomReg::new(0), MomReg::new(1), MomReg::new(2));
+        let trace = tb.finish();
+        let mut lanes = ProcessorConfig::mom();
+        lanes.simd_lanes = 0;
+        let mut units = ProcessorConfig::mom();
+        units.int_units = 0;
+        for cfg in [lanes, units] {
+            let err = Processor::new(cfg).run(&trace).unwrap_err();
+            assert!(matches!(err, SimError::UnsupportedConfig { .. }), "{err}");
+        }
+    }
+
+    #[test]
     fn dram_burst_backend_times_a_vector_trace() {
         // A registry-only backend drives the unmodified pipeline: large
         // strides thrash the row buffers, dense streams burst.
@@ -1236,20 +1346,92 @@ mod tests {
             tb.finish()
         }
 
+        /// A narrow processor shape: the issue widths, unit counts,
+        /// ports, transaction buffers, window and LSQ where the lane
+        /// exit and the idle skip have the least slack.
+        #[derive(Debug, Clone, Copy)]
+        struct Shape {
+            int_units: usize,
+            int_issue: usize,
+            simd_units: usize,
+            simd_issue: usize,
+            mem_issue: usize,
+            l1_ports: usize,
+            vec_outstanding: usize,
+            window: usize,
+            lsq: usize,
+            l1_banked: bool,
+        }
+
+        impl Shape {
+            fn apply(self, cfg: &mut ProcessorConfig) {
+                cfg.int_units = self.int_units;
+                cfg.int_issue = self.int_issue;
+                cfg.simd_units = self.simd_units;
+                cfg.simd_issue = self.simd_issue;
+                cfg.mem_issue = self.mem_issue;
+                cfg.l1_ports = self.l1_ports;
+                cfg.vec_outstanding = self.vec_outstanding;
+                cfg.window = self.window;
+                cfg.lsq = self.lsq;
+                cfg.l1_banked = self.l1_banked;
+            }
+        }
+
+        fn shape_strategy() -> impl Strategy<Value = Shape> {
+            (
+                (1usize..=4, 1usize..=4, 1usize..=4, 1usize..=4, 1usize..=4),
+                (1usize..=2, 1usize..=4, 8usize..=128, 4usize..=32, any::<bool>()),
+            )
+                .prop_map(|((iu, ii, su, si, mi), (ports, vo, window, lsq, banked))| Shape {
+                    int_units: iu,
+                    int_issue: ii,
+                    simd_units: su,
+                    simd_issue: si,
+                    mem_issue: mi,
+                    l1_ports: ports,
+                    vec_outstanding: vo,
+                    window,
+                    lsq,
+                    l1_banked: banked,
+                })
+        }
+
+        /// The design point `mom3d-tune` would key for `entry` at the
+        /// drawn candidate indices: one candidate per `ParamSpec`, with
+        /// defaults left out of the id exactly as the tuner does.
+        fn lattice_id(entry: &mom3d_mem::BackendEntry, picks: &[usize]) -> crate::BackendId {
+            let pairs: Vec<(&str, u64)> = entry
+                .params
+                .iter()
+                .zip(picks)
+                .map(|(spec, &k)| (spec.key, spec.candidates[k % spec.candidates.len()]))
+                .filter(|&(key, value)| {
+                    entry.params.iter().any(|s| s.key == key && s.default != value)
+                })
+                .collect();
+            mom3d_mem::BackendRegistry::make_id(entry.id, &pairs)
+                .expect("candidate values round-trip through their own specs")
+        }
+
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(40))]
+            #![proptest_config(ProptestConfig::with_cases(96))]
 
             /// On any well-formed trace, under both Table-2 processor
-            /// shapes and every registered backend — zero-latency cache
-            /// configurations included — the event-driven path
-            /// reproduces the legacy oracle bit for bit, metrics and
-            /// errors alike.
+            /// shapes and random narrow ones, and every registered
+            /// backend family at a random point of the `ParamSpec`
+            /// lattice `mom3d-tune` searches (or at its defaults) —
+            /// zero-latency cache configurations included — the
+            /// event-driven path reproduces the legacy oracle bit for
+            /// bit, metrics and errors alike.
             #[test]
             fn event_driven_equals_legacy(
                 steps in proptest::collection::vec(step_strategy(), 1..120),
                 mmx_shape in any::<bool>(),
                 zero_latency in any::<bool>(),
                 warm in any::<bool>(),
+                narrow in (any::<bool>(), shape_strategy()),
+                lattice in (any::<bool>(), proptest::collection::vec(0usize..3, 4), 0usize..3),
             ) {
                 let trace = build(&steps);
                 let mut base = if mmx_shape {
@@ -1258,17 +1440,24 @@ mod tests {
                     ProcessorConfig::mom()
                 };
                 base = base.with_warm_caches(warm);
+                if let (true, shape) = narrow {
+                    shape.apply(&mut base);
+                }
+                let (tuned, picks, l2) = lattice;
                 if zero_latency {
                     // Same-cycle completion paths: producers finish in
                     // their issue cycle.
                     base.hierarchy.l1_latency = 0;
                     base = base.with_l2_latency(0);
+                } else if tuned {
+                    base = base.with_l2_latency([20, 40, 60][l2]);
                 }
                 for entry in mom3d_mem::BackendRegistry::entries() {
-                    let p = Processor::new(base.with_memory(entry.backend_id()));
+                    let id = if tuned { lattice_id(&entry, &picks) } else { entry.backend_id() };
+                    let p = Processor::new(base.with_memory(id));
                     let new = p.run(&trace);
                     let old = p.run_legacy(&trace);
-                    prop_assert_eq!(new, old, "backend {}", entry.id);
+                    prop_assert_eq!(new, old, "backend {}", id.as_str());
                 }
             }
         }

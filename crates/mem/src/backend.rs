@@ -46,7 +46,7 @@ use crate::dram::{DramBurstBackend, DramConfig};
 use crate::hbm::{HbmConfig, HbmWideBackend};
 use crate::pim::{PimConfig, PimVectorBackend};
 use crate::ports::{
-    schedule_3d, schedule_multibanked, schedule_vector_cache, BankedConfig, PortSchedule,
+    schedule_3d, schedule_vector_cache, BankScheduler, BankedConfig, PortSchedule,
     VectorCacheConfig,
 };
 use std::collections::BTreeSet;
@@ -681,7 +681,9 @@ fn builtin_entries() -> [BackendEntry; 7] {
             display_name: "multi-banked",
             has_3d: false,
             is_ideal: false,
-            build: |p| Box::new(MultiBankedBackend { cfg: p.banked }),
+            build: |p| {
+                Box::new(MultiBankedBackend { cfg: p.banked, scheduler: BankScheduler::default() })
+            },
             params: MULTI_BANKED_PARAMS,
         },
         BackendEntry {
@@ -761,10 +763,12 @@ impl VectorMemoryBackend for IdealBackend {
 }
 
 /// The 4-port, 8-bank multi-banked cache behind a crossbar (Figure 2-a),
-/// on top of [`schedule_multibanked`].
-#[derive(Debug, Clone, Copy)]
+/// on top of [`schedule_multibanked`](crate::schedule_multibanked), with
+/// its scheduling buffers reused across the run's instructions.
+#[derive(Debug, Clone)]
 pub struct MultiBankedBackend {
     cfg: BankedConfig,
+    scheduler: BankScheduler,
 }
 
 impl VectorMemoryBackend for MultiBankedBackend {
@@ -784,7 +788,7 @@ impl VectorMemoryBackend for MultiBankedBackend {
     }
 
     fn schedule(&mut self, blocks: &[(u64, u32)], _is_3d: bool) -> PortSchedule {
-        schedule_multibanked(&self.cfg, blocks)
+        self.scheduler.schedule(&self.cfg, blocks)
     }
 }
 
@@ -856,6 +860,7 @@ impl VectorMemoryBackend for VectorCache3dBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ports::schedule_multibanked;
     use proptest::prelude::*;
 
     const PAPER_IDS: [&str; 4] = ["ideal", "multi-banked", "vector-cache", "vector-cache-3d"];

@@ -130,12 +130,22 @@ const INVALID_WAY: Way = Way { tag: 0, valid: false, dirty: false, lru: 0 };
 /// in [`crate::MainMemory`], which keeps the timing model and the
 /// functional emulator decoupled (a standard trace-driven-simulator
 /// structure).
+///
+/// Line size and set count are powers of two ([`Cache::new`] enforces
+/// it), so the set index and tag of an address are shifts and a mask
+/// precomputed from the geometry, never divisions.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     ways: Vec<Way>,
     stats: CacheStats,
     tick: u64,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// `sets - 1`.
+    set_mask: u64,
+    /// `log2(line_bytes * sets)`: the tag is the address above it.
+    tag_shift: u32,
 }
 
 impl Cache {
@@ -147,11 +157,16 @@ impl Cache {
     /// sets, zero associativity, ...).
     pub fn new(config: CacheConfig) -> Self {
         config.validate();
+        let line_shift = config.line_bytes.trailing_zeros();
+        let set_bits = config.sets().trailing_zeros();
         Cache {
             config,
             ways: vec![INVALID_WAY; config.sets() * config.assoc],
             stats: CacheStats::default(),
             tick: 0,
+            line_shift,
+            set_mask: config.sets() as u64 - 1,
+            tag_shift: line_shift + set_bits,
         }
     }
 
@@ -172,12 +187,12 @@ impl Cache {
 
     #[inline]
     fn set_index(&self, addr: u64) -> usize {
-        ((addr / self.config.line_bytes as u64) % self.config.sets() as u64) as usize
+        ((addr >> self.line_shift) & self.set_mask) as usize
     }
 
     #[inline]
     fn tag_of(&self, addr: u64) -> u64 {
-        addr / self.config.line_bytes as u64 / self.config.sets() as u64
+        addr >> self.tag_shift
     }
 
     fn set_ways(&mut self, set: usize) -> &mut [Way] {
@@ -208,8 +223,7 @@ impl Cache {
         let set = self.set_index(addr);
         let tag = self.tag_of(addr);
         let write_policy = self.config.write_policy;
-        let line_bytes = self.config.line_bytes as u64;
-        let sets = self.config.sets() as u64;
+        let (line_shift, tag_shift) = (self.line_shift, self.tag_shift);
         {
             let ways = self.set_ways(set);
             if let Some(w) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
@@ -237,7 +251,7 @@ impl Cache {
                 .expect("associativity >= 1");
             let writeback = (victim.valid && victim.dirty).then(|| {
                 // Reconstruct the victim's line address from its tag.
-                (victim.tag * sets + set as u64) * line_bytes
+                (victim.tag << tag_shift) | ((set as u64) << line_shift)
             });
             *victim = Way {
                 tag,
@@ -397,6 +411,38 @@ mod tests {
             line_bytes: 12,
             write_policy: WritePolicy::WriteBack,
         });
+    }
+
+    #[test]
+    fn shift_mask_indexing_matches_division() {
+        // The precomputed shifts and mask agree with the division
+        // formulas on every power-of-two geometry, and a victim's line
+        // address is rebuilt exactly from its tag and set.
+        let geometries = [
+            (128, 2, 16),
+            (64 * 1024, 2, 32),
+            (2 * 1024 * 1024, 4, 128),
+            (4096, 1, 64),
+            (256, 4, 64), // a single set
+        ];
+        let mut addr = 0x9E37_79B9_7F4A_7C15u64;
+        for (size_bytes, assoc, line_bytes) in geometries {
+            let c = Cache::new(CacheConfig {
+                size_bytes,
+                assoc,
+                line_bytes,
+                write_policy: WritePolicy::WriteBack,
+            });
+            let (line, sets) = (line_bytes as u64, c.config().sets() as u64);
+            for _ in 0..1000 {
+                addr = addr.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let set = c.set_index(addr);
+                let tag = c.tag_of(addr);
+                assert_eq!(set as u64, (addr / line) % sets);
+                assert_eq!(tag, addr / line / sets);
+                assert_eq!((tag << c.tag_shift) | ((set as u64) << c.line_shift), addr & !(line - 1));
+            }
+        }
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! ```
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Result of scheduling one vector memory instruction on a port system.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -132,38 +133,63 @@ impl Default for VectorCacheConfig {
 /// assert_eq!(s.port_cycles, 2);
 /// ```
 pub fn schedule_multibanked(cfg: &BankedConfig, blocks: &[(u64, u32)]) -> PortSchedule {
-    // Split into word references.
-    let mut pending: Vec<u64> = Vec::new();
-    for &(addr, len) in blocks {
-        let mut off = 0;
-        while off < len as u64 {
-            pending.push(addr + off);
-            off += cfg.interleave_bytes;
-        }
-    }
-    let words = pending.len() as u64;
-    let mut schedule = PortSchedule { port_cycles: 0, cache_accesses: words, words };
-    let mut done = vec![false; pending.len()];
-    let mut remaining = pending.len();
-    while remaining > 0 {
-        schedule.port_cycles += 1;
-        let mut used_banks = vec![false; cfg.banks];
-        let mut granted = 0;
-        for (i, &addr) in pending.iter().enumerate() {
-            if done[i] || granted == cfg.ports {
-                continue;
-            }
-            let bank = cfg.bank_of(addr);
-            if !used_banks[bank] {
-                used_banks[bank] = true;
-                done[i] = true;
-                granted += 1;
-                remaining -= 1;
+    BankScheduler::default().schedule(cfg, blocks)
+}
+
+/// Reusable working storage of [`schedule_multibanked`], so a backend
+/// that schedules every vector instruction of a run allocates only
+/// while its buffers grow.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BankScheduler {
+    /// Bank of every not-yet-granted word reference, in request order.
+    pending: Vec<usize>,
+    /// Banks granted in the current cycle, one bit per bank.
+    used: Vec<u64>,
+}
+
+impl BankScheduler {
+    /// [`schedule_multibanked`] on reused buffers. Each reference's bank
+    /// is computed once; every cycle grants in request order and
+    /// compacts the ungranted references in place.
+    pub(crate) fn schedule(&mut self, cfg: &BankedConfig, blocks: &[(u64, u32)]) -> PortSchedule {
+        self.pending.clear();
+        for &(addr, len) in blocks {
+            let mut off = 0;
+            while off < len as u64 {
+                self.pending.push(cfg.bank_of(addr + off));
+                off += cfg.interleave_bytes;
             }
         }
-        debug_assert!(granted > 0, "scheduler must make progress");
+        let words = self.pending.len() as u64;
+        let mut schedule = PortSchedule { port_cycles: 0, cache_accesses: words, words };
+        self.used.clear();
+        self.used.resize(cfg.banks.div_ceil(64), 0);
+        while !self.pending.is_empty() {
+            schedule.port_cycles += 1;
+            self.used.fill(0);
+            let mut granted = 0;
+            let mut kept = 0;
+            let mut i = 0;
+            while i < self.pending.len() && granted < cfg.ports {
+                let bank = self.pending[i];
+                let (word, bit) = (bank / 64, 1u64 << (bank % 64));
+                if self.used[word] & bit == 0 {
+                    self.used[word] |= bit;
+                    granted += 1;
+                } else {
+                    self.pending[kept] = bank;
+                    kept += 1;
+                }
+                i += 1;
+            }
+            debug_assert!(granted > 0, "scheduler must make progress");
+            // Out of ports: the unscanned tail waits for the next cycle.
+            let len = self.pending.len();
+            self.pending.copy_within(i.., kept);
+            self.pending.truncate(kept + len - i);
+        }
+        schedule
     }
-    schedule
 }
 
 /// Word references of a block list in order: every 64-bit word of every
@@ -244,14 +270,42 @@ pub fn schedule_3d(blocks: &[(u64, u32)]) -> PortSchedule {
     schedule
 }
 
+/// Multiplicative hasher for line addresses, in place of SipHash: a
+/// line set is private scratch keyed by addresses the simulator
+/// computes, so it needs spread, not collision resistance.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, line: u64) {
+        // Fibonacci hashing. Line addresses have zero low bits, which
+        // the product keeps zero, so `finish` folds the well-mixed high
+        // half down into the bits the table indexes by.
+        self.0 = (self.0 ^ line).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 /// Reusable first-touch-order line deduplicator.
 ///
 /// The timing simulator needs the distinct L2 lines of every vector
 /// memory instruction (tag lookups, hit/miss accounting, warm-up).
 /// Collecting them with a `Vec::contains` scan is quadratic in the line
 /// count; this set pairs the ordered `Vec` with a [`HashSet`] membership
-/// index so each line is O(1), and both buffers are reused across calls
-/// so the steady-state scheduling path stops allocating.
+/// index (hashed multiplicatively, not with SipHash) so each line is
+/// O(1), and both buffers are reused across calls so the steady-state
+/// scheduling path stops allocating.
 ///
 /// ```
 /// use mom3d_mem::LineSet;
@@ -267,7 +321,7 @@ pub fn schedule_3d(blocks: &[(u64, u32)]) -> PortSchedule {
 #[derive(Debug, Clone, Default)]
 pub struct LineSet {
     lines: Vec<u64>,
-    seen: HashSet<u64>,
+    seen: HashSet<u64, BuildHasherDefault<LineHasher>>,
 }
 
 impl LineSet {
@@ -323,12 +377,49 @@ pub fn distinct_lines(blocks: &[(u64, u32)], line_bytes: u64) -> Vec<u64> {
 }
 
 /// The pre-rewrite implementations, kept verbatim as oracles for the
-/// equivalence property tests: `schedule_vector_cache` used to
-/// materialize every word reference in a `Vec<u64>` before scanning, and
-/// `distinct_lines` deduplicated with a quadratic `Vec::contains` scan.
+/// equivalence property tests: `schedule_multibanked` used to allocate
+/// its bank flags every cycle and recompute every pending reference's
+/// bank on every scan, `schedule_vector_cache` used to materialize every
+/// word reference in a `Vec<u64>` before scanning, and `distinct_lines`
+/// deduplicated with a quadratic `Vec::contains` scan.
 #[cfg(test)]
 mod reference {
-    use super::{PortSchedule, VectorCacheConfig};
+    use super::{BankedConfig, PortSchedule, VectorCacheConfig};
+
+    pub fn schedule_multibanked(cfg: &BankedConfig, blocks: &[(u64, u32)]) -> PortSchedule {
+        // Split into word references.
+        let mut pending: Vec<u64> = Vec::new();
+        for &(addr, len) in blocks {
+            let mut off = 0;
+            while off < len as u64 {
+                pending.push(addr + off);
+                off += cfg.interleave_bytes;
+            }
+        }
+        let words = pending.len() as u64;
+        let mut schedule = PortSchedule { port_cycles: 0, cache_accesses: words, words };
+        let mut done = vec![false; pending.len()];
+        let mut remaining = pending.len();
+        while remaining > 0 {
+            schedule.port_cycles += 1;
+            let mut used_banks = vec![false; cfg.banks];
+            let mut granted = 0;
+            for (i, &addr) in pending.iter().enumerate() {
+                if done[i] || granted == cfg.ports {
+                    continue;
+                }
+                let bank = cfg.bank_of(addr);
+                if !used_banks[bank] {
+                    used_banks[bank] = true;
+                    done[i] = true;
+                    granted += 1;
+                    remaining -= 1;
+                }
+            }
+            debug_assert!(granted > 0, "scheduler must make progress");
+        }
+        schedule
+    }
 
     pub fn schedule_vector_cache(cfg: &VectorCacheConfig, blocks: &[(u64, u32)]) -> PortSchedule {
         let mut refs: Vec<u64> = Vec::new();
@@ -383,6 +474,31 @@ mod equivalence {
     }
 
     proptest! {
+        /// The reused-buffer multi-banked scheduler matches the old
+        /// allocate-per-cycle implementation on arbitrary block lists
+        /// and bank/port/interleave shapes, including more than 64 banks
+        /// and a scheduler reused across differently shaped calls.
+        #[test]
+        fn multibanked_matches_reference(
+            blocks in arb_blocks(),
+            other in arb_blocks(),
+            banks in 1usize..130,
+            ports in 1usize..9,
+            interleave_log2 in 2u32..6,
+        ) {
+            let cfg = BankedConfig { ports, banks, interleave_bytes: 1 << interleave_log2 };
+            let mut reused = BankScheduler::default();
+            reused.schedule(&BankedConfig::default(), &other);
+            prop_assert_eq!(
+                reused.schedule(&cfg, &blocks),
+                reference::schedule_multibanked(&cfg, &blocks)
+            );
+            prop_assert_eq!(
+                schedule_multibanked(&cfg, &blocks),
+                reference::schedule_multibanked(&cfg, &blocks)
+            );
+        }
+
         /// The streaming scheduler matches the old materialize-then-scan
         /// implementation on arbitrary block lists and port widths.
         #[test]
